@@ -536,28 +536,20 @@ pub fn determinism_hygiene(lexed: &Lexed, allow_threads: bool) -> Vec<Finding> {
     }
 
     // Runtime CPU-feature probes: an answer must never depend on the
-    // host's ISA extensions. The one legitimate site is the SIMD width
-    // dispatch seam (`KernelWidth::detect` in dg-pdn), which carries an
-    // explicit allow — detection may pick a kernel *width* there because
-    // every width is proven bit-identical, but scattered probes anywhere
-    // else are machine-dependent behavior.
+    // host's ISA extensions. No code path has a reason to probe, so every
+    // use is flagged, test code included.
     {
         let needle = "is_x86_feature_detected!";
         let mut from = 0;
         while let Some(pos) = masked[from..].find(needle) {
             let at = from + pos;
             from = at + needle.len();
-            let line = lexed.line_of(at);
-            if lexed.is_test_line(line) {
-                continue;
-            }
             out.push(Finding {
                 rule: RuleId::DeterminismHygiene,
-                line,
+                line: lexed.line_of(at),
                 message: format!("`{needle}` makes behavior depend on the host CPU"),
-                help: "confine runtime feature probes to the SIMD dispatch seam \
-                       (KernelWidth::detect), where every selectable width is \
-                       bit-identical"
+                help: "compute the same way on every host: the transient solver \
+                       is exact, so no kernel is selected by CPU feature"
                     .into(),
             });
         }
@@ -973,11 +965,11 @@ mod tests {
         let f = determinism_hygiene(&lex(src), false);
         assert_eq!(lines(&f), vec![2]);
         assert!(f[0].message.contains("is_x86_feature_detected"));
-        assert!(f[0].help.contains("KernelWidth::detect"));
-        // Test code is exempt, like the clock and thread needles.
+        assert!(f[0].help.contains("every host"));
+        // Unlike the clock and thread needles, test code is not exempt.
         let test_src =
             "#[cfg(test)]\nmod tests {\n  #[test]\n  fn f() { let _ = std::arch::is_x86_feature_detected!(\"avx2\"); }\n}\n";
-        assert!(determinism_hygiene(&lex(test_src), false).is_empty());
+        assert_eq!(lines(&determinism_hygiene(&lex(test_src), false)), vec![4]);
     }
 
     #[test]

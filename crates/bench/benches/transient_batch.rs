@@ -1,16 +1,18 @@
-//! Benchmarks of the batched SoA transient kernel against the scalar
-//! reference path. The headline comparison is eight droop captures run
-//! sequentially versus one eight-lane `run_batch` call — the shape that
-//! di/dt sweeps, sensitivity analyses, and `/v1/droop_batch` all hit.
+//! Benchmarks of batched transient runs on the exact solver. Eight droop
+//! captures run sequentially, as one eight-lane `run_batch` (one shared
+//! unit response), and as `droops` (no waveforms), against the RK4 oracle
+//! at the served 0.1 ns step over a 20 µs window — the fixed-step
+//! integration the exact solver replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dg_pdn::oracle::rk4;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pdn::transient::{LoadStep, TransientSim};
 use dg_pdn::units::{Amps, Seconds, Volts};
 use std::hint::black_box;
 
-/// Eight load steps with distinct magnitudes so lanes settle at different
-/// times — the batch kernel has to carry its lane-compaction cost.
+/// Eight load steps with distinct magnitudes and one step time and slew,
+/// so a batch shares one unit response.
 fn eight_steps() -> Vec<LoadStep> {
     (0..8)
         .map(|k| {
@@ -31,24 +33,29 @@ fn bench(c: &mut Criterion) {
     let sim = TransientSim::droop_capture(Volts::new(1.0));
     let steps = eight_steps();
 
-    // Baseline: the scalar path, eight droop captures back to back.
-    g.bench_function("seq8_scalar_runs", |b| {
+    g.bench_function("seq8_rk4_oracle_20us", |b| {
+        b.iter(|| {
+            let results: Vec<_> = steps
+                .iter()
+                .map(|s| rk4(&pdn.ladder, sim.source, *s, sim.dt, Seconds::from_us(20.0)))
+                .collect();
+            black_box(results)
+        })
+    });
+
+    g.bench_function("seq8_exact_runs", |b| {
         b.iter(|| {
             let results: Vec<_> = steps.iter().map(|s| sim.run(&pdn.ladder, *s)).collect();
             black_box(results)
         })
     });
 
-    // The batched kernel: one call, eight lanes stepped in lockstep.
     g.bench_function("batch8_run_batch", |b| {
         b.iter(|| black_box(sim.run_batch(&pdn.ladder, &steps)))
     });
 
-    // A single-lane batch pins the overhead of the SoA plumbing relative
-    // to the scalar kernel for the degenerate case.
-    let one = &steps[..1];
-    g.bench_function("batch1_run_batch", |b| {
-        b.iter(|| black_box(sim.run_batch(&pdn.ladder, one)))
+    g.bench_function("batch8_droops", |b| {
+        b.iter(|| black_box(sim.droops(&pdn.ladder, &steps)))
     });
 
     g.finish();

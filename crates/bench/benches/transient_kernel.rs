@@ -1,8 +1,7 @@
-//! Benchmarks of the transient (time-domain) kernel: the fixed-step RK4
-//! integrator behind every droop capture and di/dt analysis. These pin the
-//! wins of the early-exit settling detector and the cached DC initial
-//! state, so regressions in the kernel show up here before they show up as
-//! minutes in a sweep.
+//! Benchmarks of the exact transient solver behind every droop capture and
+//! di/dt analysis, so regressions in the propagator, the extreme search
+//! or the settle horizon show up here before they show up as minutes in a
+//! sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dg_pdn::didt::{analyze, client_event_family};
@@ -18,15 +17,14 @@ fn bench(c: &mut Criterion) {
     let pdn = SkylakePdn::build(PdnVariant::Bypassed);
     let step = LoadStep::step(Amps::new(5.0), Amps::new(48.0), Seconds::from_us(1.0));
 
-    // The paper-calibrated droop capture: 0.1 ns over 20 µs — 200k RK4
-    // steps without early exit, a fraction of that with it.
+    // The served droop capture: a 6.4 ns grid to proven settling (~80 µs).
     let droop = TransientSim::droop_capture(Volts::new(1.0));
-    g.bench_function("droop_capture_20us", |b| {
+    g.bench_function("droop_capture", |b| {
         b.iter(|| black_box(droop.run(&pdn.ladder, step)))
     });
 
-    // The full di/dt event-family sweep used by the noise analysis: five
-    // events, 0.2 ns over 30 µs each.
+    // The full di/dt event-family analysis: five events on a 51.2 ns
+    // grid, capped at 30 µs.
     let events = client_event_family();
     g.bench_function("didt_family_30us", |b| {
         b.iter(|| {
@@ -40,8 +38,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // A short window whose tail the early exit cannot skip — guards the
-    // per-step cost of the RK4 inner loop itself.
+    // A short window capped before settling, on an 8 ns grid (0.5 ns ×
+    // the default decimation of 16) —
+    // guards the per-step cost of the propagator walk itself.
     let short = TransientSim::new(
         Volts::new(1.1),
         Seconds::from_ns(0.5),
@@ -49,7 +48,7 @@ fn bench(c: &mut Criterion) {
     )
     .unwrap();
     let short_step = LoadStep::step(Amps::new(5.0), Amps::new(45.0), Seconds::from_us(0.5));
-    g.bench_function("short_2us_no_exit", |b| {
+    g.bench_function("short_2us_capped", |b| {
         b.iter(|| black_box(short.run(&pdn.ladder, short_step)))
     });
 

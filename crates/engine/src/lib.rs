@@ -501,8 +501,7 @@ where
 ///
 /// Kept as the executable reference semantics for [`par_map_progress`]:
 /// the streaming scheduler's differential proptests oracle against it,
-/// `bench-pdn`'s end-to-end sweep row measures against it, and the
-/// sequential/nested paths of [`par_map_progress`] delegate to it. New
+/// and the sequential/nested paths of [`par_map_progress`] delegate to it. New
 /// code should call [`par_map_progress`].
 ///
 /// # Panics

@@ -18,10 +18,8 @@
 //! prefix seals, with results bit-identical for any thread count — and a
 //! caller-supplied observer sees `(completed, total, frontier-size)`
 //! after every batch, the seam `POST /v1/explore` streams progress
-//! records through. Transient refinement integrates through each
-//! thread's warm `dg_pdn::BatchWorkspace`, so steady-state waves
-//! allocate nothing in the kernel. The
-//! spec seed shuffles evaluation *order* only: the progress trace is a
+//! records through. Transient refinement runs one exact unit
+//! response per lane group (`TransientSim::droops`). The spec seed shuffles evaluation *order* only: the progress trace is a
 //! function of (spec, seed), the final [`ExploreResult`] of the spec
 //! alone, and its JSON rendering is byte-identical across the CLI, the
 //! HTTP route, and cache replay.

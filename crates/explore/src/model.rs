@@ -253,12 +253,12 @@ impl EvalContext {
     /// guardband policy re-derives its droop component from a measured
     /// PDN transient: the point's power-gate wake-up (serial-phase
     /// big-core current stepping to full-chip current over
-    /// [`WAKE_SLEW_NS`]) is run through `TransientSim::run_batch_in` on
-    /// the point's variant ladder — via the calling thread's warm
-    /// `BatchWorkspace`, so repeated waves integrate alloc-free — grouped
-    /// by variant in chunk order and batched [`TRANSIENT_LANES`] lanes at
-    /// a time. Grouping and lane order are functions of the chunk alone,
-    /// so refinement is bit-deterministic.
+    /// [`WAKE_SLEW_NS`]) is run through `TransientSim::droops` on the
+    /// point's variant ladder, grouped by variant in chunk order and
+    /// [`TRANSIENT_LANES`] lanes at a time. Every lane of a group shares
+    /// one step time and slew, so a group costs one exact unit response.
+    /// Grouping and lane order are functions of the chunk alone, so
+    /// refinement is bit-deterministic.
     pub fn refine_chunk(&self, chunk: &[PointEval]) -> Vec<PointEval> {
         if !self.transient {
             return chunk.to_vec();
@@ -284,18 +284,7 @@ impl EvalContext {
                     .iter()
                     .filter_map(|&i| out.get(i).map(wake_step))
                     .collect();
-                // Integrate through the calling thread's warm workspace
-                // (bit-identical to `run_batch`): refinement happens on
-                // whichever thread drains the streaming progress seam, so
-                // repeated waves reuse the same buffers alloc-free. Only
-                // the droop scalar is read, so the borrowed results never
-                // escape the closure.
-                let droops: Vec<f64> = darkgates::pdn::with_thread_workspace(|ws| {
-                    sim.run_batch_in(ladder, &steps, darkgates::pdn::KernelWidth::dispatch(), ws)
-                        .iter()
-                        .map(|r| r.droop().value())
-                        .collect()
-                });
+                let droops = sim.droops(ladder, &steps);
                 for (&i, droop) in group.iter().zip(droops.iter()) {
                     let Some(e) = out.get(i).copied() else {
                         continue;
@@ -308,7 +297,7 @@ impl EvalContext {
                     };
                     #[allow(clippy::cast_precision_loss)]
                     let n = e.n_small as f64;
-                    let refined = self.finish(e.point, big, small, n, droop.max(0.0));
+                    let refined = self.finish(e.point, big, small, n, droop.value());
                     if let Some(slot) = out.get_mut(i) {
                         *slot = refined;
                     }

@@ -1,771 +1,133 @@
-//! Batched structure-of-arrays transient kernel with explicit-SIMD lanes.
+//! Batched transient runs: lanes that share one unit response.
 //!
-//! Sweeps integrate hundreds of independent load-step scenarios against the
-//! *same* ladder. This module steps B scenarios ("lanes") in lockstep:
-//! state is held in lane-major structure-of-arrays buffers
-//! (`buf[k * b + col]` — state variable `k`, lane column `col`), so the
-//! inner loop of every derivative evaluation and RK4 combination runs
-//! across lanes, which are mutually independent.
-//!
-//! Since PR 9 those inner loops are written against the explicit
-//! [`crate::simd::Lanes`] wrapper instead of relying on auto-vectorization:
-//! [`TransientSim::run_batch`] picks a [`KernelWidth`] once per batch (the
-//! *calibrated* [`KernelWidth::dispatch`] choice — x4 on AVX-512 hosts,
-//! where downclocking makes x8 measurably slower) and hands the whole
-//! integration loop to a width-specific entry point compiled under the
-//! matching `target_feature`.
-//! Columns beyond the last full vector run the scalar `f64` implementation
-//! of the same generic code. Because every lane operation is a pure
-//! per-element IEEE-754 expression in the same form and order as the
-//! scalar kernel — lanes never mix, nothing fuses into FMA — every lane is
-//! bit-identical to the scalar path at every width.
-//!
-//! Lanes that reach the settle band early stop paying derivative cost: a
-//! retired column is swapped with the last active column and the active
-//! width shrinks (swap-compaction), so the hot loops always run over a
-//! dense prefix of live lanes.
-//!
-//! This is also the *only* kernel: [`TransientSim::run`] is a thin wrapper
-//! over a 1-lane batch, so there is exactly one integration loop to
-//! optimize and test.
+//! The chain model is linear, so a lane's deviation from its pre-step DC
+//! point is its step size times the one-amp response for its step time and
+//! slew ([`crate::exact`]). [`TransientSim::run_batch`] computes that
+//! response once per distinct `(at, slew)` in the batch and scales it for
+//! every lane; [`TransientSim::run`] is a one-lane batch, so a lane of any
+//! batch is bit-identical to a scalar run.
 
+use crate::cache;
+use crate::exact::UnitResponse;
 use crate::ladder::Ladder;
-use crate::simd::{F64x4, F64x8, KernelWidth, Lanes};
-use crate::transient::{
-    push_final_sample, LadderCoeffs, LoadStep, TransientResult, TransientSim, SETTLE_ABS_TOL_V,
-    SETTLE_REL_TOL, SETTLE_WINDOW_S,
-};
-use crate::units::{Seconds, Volts};
-
-/// Per-column integration bookkeeping for one live lane. Compacted together
-/// with the state columns when a lane retires.
-#[derive(Debug, Clone, Copy)]
-struct LaneRun {
-    /// Index of this lane in the caller's step slice (and in `outs`).
-    lane: usize,
-    step: LoadStep,
-    v_settle_target: f64,
-    settle_tol: f64,
-    settle_after: f64,
-    in_band: usize,
-}
-
-/// Reusable scratch for the batched transient kernel: every buffer
-/// [`TransientSim::run_batch_in`] touches — the structure-of-arrays state
-/// and RK4 stage buffers, the per-lane current samples, the lane
-/// bookkeeping, and the result records themselves (including each lane's
-/// waveform `Vec`) — held together so a warm workspace makes a
-/// steady-state batch run perform **zero heap allocations**.
-///
-/// Buffers grow monotonically (a bigger batch or ladder enlarges them
-/// once; smaller runs reuse the prefix) and waveform vectors are cleared,
-/// never dropped, so their capacity survives between calls. The zero-alloc
-/// contract is pinned by a counting-allocator harness in
-/// `tests/zero_alloc.rs`.
-///
-/// Ownership rules:
-///
-/// * A workspace is **not** shared: one `&mut BatchWorkspace` per caller
-///   at a time, typically one per worker thread via
-///   [`with_thread_workspace`].
-/// * Results returned by [`TransientSim::run_batch_in`] are *views into
-///   the workspace* — they borrow it and are overwritten by the next
-///   batch run through the same workspace. Callers that need owned
-///   results clone (which is exactly what the compatibility wrapper
-///   [`TransientSim::run_batch`] does).
-#[derive(Debug, Default)]
-pub struct BatchWorkspace {
-    state: Vec<f64>,
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
-    tmp: Vec<f64>,
-    i_now: Vec<f64>,
-    i_mid: Vec<f64>,
-    i_end: Vec<f64>,
-    cols: Vec<LaneRun>,
-    results: Vec<TransientResult>,
-    t_exit: Vec<f64>,
-    exits: Vec<usize>,
-}
-
-impl BatchWorkspace {
-    /// An empty workspace; buffers are sized on first use and grow
-    /// monotonically thereafter.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchWorkspace::default()
-    }
-
-    /// Sizes every buffer for a batch of `b` lanes over `rows` SoA
-    /// entries (`2 * nodes * b`), clearing per-run bookkeeping while
-    /// preserving capacity. Allocates only when a dimension grows past
-    /// anything this workspace has seen.
-    fn prepare(&mut self, rows: usize, b: usize) {
-        for buf in [
-            &mut self.state,
-            &mut self.k1,
-            &mut self.k2,
-            &mut self.k3,
-            &mut self.k4,
-            &mut self.tmp,
-        ] {
-            if buf.len() < rows {
-                buf.resize(rows, 0.0);
-            }
-        }
-        for buf in [&mut self.i_now, &mut self.i_mid, &mut self.i_end] {
-            if buf.len() < b {
-                buf.resize(b, 0.0);
-            }
-        }
-        if self.t_exit.len() < b {
-            self.t_exit.resize(b, 0.0);
-        }
-        self.cols.clear();
-        self.cols.reserve(b);
-        self.exits.clear();
-        self.exits.reserve(b);
-        while self.results.len() < b {
-            self.results.push(TransientResult {
-                samples: Vec::new(),
-                v_min: Volts::ZERO,
-                t_min: Seconds::ZERO,
-                v_initial: Volts::ZERO,
-                v_final: Volts::ZERO,
-            });
-        }
-        for out in self.results.iter_mut().take(b) {
-            out.samples.clear();
-        }
-    }
-}
-
-thread_local! {
-    /// One warm workspace per thread: engine workers (and the serve
-    /// tier's handler threads) reuse it across every batch they
-    /// integrate, so steady-state sweeps stop paying heap round-trips.
-    static WORKSPACE: std::cell::RefCell<BatchWorkspace> =
-        std::cell::RefCell::new(BatchWorkspace::new());
-}
-
-/// Runs `f` with the current thread's warm [`BatchWorkspace`].
-///
-/// Re-entrant calls (an `f` that itself batches through the thread
-/// workspace) fall back to a fresh scratch workspace instead of
-/// panicking on the nested borrow, so the helper is safe to use from any
-/// library code path.
-pub fn with_thread_workspace<R>(f: impl FnOnce(&mut BatchWorkspace) -> R) -> R {
-    WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut BatchWorkspace::new()),
-    })
-}
-
-/// Everything the width-dispatched integration loop touches, bundled so the
-/// `#[target_feature]` entry points stay non-generic while the loop itself
-/// is generic over the lane type. All buffers are borrowed from a
-/// [`BatchWorkspace`]; the kernel owns no heap memory of its own.
-struct Kernel<'a> {
-    coeffs: &'a LadderCoeffs,
-    source: f64,
-    dt: f64,
-    b: usize,
-    n_steps: usize,
-    decimate: usize,
-    settle_steps: usize,
-    state: &'a mut [f64],
-    k1: &'a mut [f64],
-    k2: &'a mut [f64],
-    k3: &'a mut [f64],
-    k4: &'a mut [f64],
-    tmp: &'a mut [f64],
-    i_now: &'a mut [f64],
-    i_mid: &'a mut [f64],
-    i_end: &'a mut [f64],
-    cols: &'a mut Vec<LaneRun>,
-    results: &'a mut [TransientResult],
-    t_exit: &'a mut [f64],
-    exits: &'a mut Vec<usize>,
-}
+use crate::transient::{LadderCoeffs, LoadStep, TransientResult, TransientSim};
+use crate::units::{Amps, Seconds, Volts};
 
 impl TransientSim {
-    /// Runs `steps.len()` independent load-step scenarios against `ladder`
-    /// in one lockstep batch, returning one [`TransientResult`] per input
-    /// step, in input order.
+    /// Runs `steps.len()` load-step scenarios against `ladder`, returning
+    /// one [`TransientResult`] per input step, in input order.
     ///
-    /// The kernel width is chosen once per call via
-    /// [`KernelWidth::dispatch`] — the *calibrated* choice, which prefers
-    /// x4 over x8 on AVX-512 hosts where frequency downclocking makes the
-    /// wider kernel slower (measured in `BENCH_pdn.json`). Each lane's
-    /// result is bit-identical at every width — including lanes that
-    /// settle and retire at different times — so the width choice can
-    /// never perturb the repo's determinism contract. An empty slice
-    /// returns an empty vector.
-    ///
-    /// Heap traffic: this convenience wrapper borrows the calling
-    /// thread's warm [`BatchWorkspace`] and clones the results out, so it
-    /// still allocates for the returned `Vec`s. Hot paths that can hold a
-    /// workspace should call [`TransientSim::run_batch_in`] directly.
+    /// Lanes with the same step time and slew share one unit response, so
+    /// a batch costs one exact simulation per distinct `(at, slew)` plus a
+    /// scaled copy of the waveform per lane. An empty slice returns an
+    /// empty vector.
     #[must_use]
     pub fn run_batch(&self, ladder: &Ladder, steps: &[LoadStep]) -> Vec<TransientResult> {
-        self.run_batch_with_width(ladder, steps, KernelWidth::dispatch())
+        let coeffs = cache::ladder_coeffs(ladder);
+        let (responses, shared) = self.unit_responses(ladder, &coeffs, steps, true);
+        steps
+            .iter()
+            .zip(shared)
+            .map(|(step, i)| self.lane(ladder, &coeffs, &responses[i], step))
+            .collect()
     }
 
-    /// [`TransientSim::run_batch`] with an explicit kernel width.
-    ///
-    /// A request wider than the running CPU supports falls back to the
-    /// *portable* compilation of the same generic kernel (no AVX codegen),
-    /// so the wide data path — vector chunks plus scalar remainder — can be
-    /// exercised and benchmarked on any machine. Results are bit-identical
-    /// to [`KernelWidth::Scalar`] in every case.
+    /// The worst droop of each step: `run_batch(ladder, steps)` reduced to
+    /// [`TransientResult::droop`], bit for bit, without building the
+    /// per-lane waveforms.
     #[must_use]
-    pub fn run_batch_with_width(
-        &self,
-        ladder: &Ladder,
-        steps: &[LoadStep],
-        width: KernelWidth,
-    ) -> Vec<TransientResult> {
-        with_thread_workspace(|ws| self.run_batch_in(ladder, steps, width, ws).to_vec())
+    pub fn droops(&self, ladder: &Ladder, steps: &[LoadStep]) -> Vec<Volts> {
+        let coeffs = cache::ladder_coeffs(ladder);
+        let (responses, shared) = self.unit_responses(ladder, &coeffs, steps, false);
+        steps
+            .iter()
+            .zip(shared)
+            .map(|(step, i)| {
+                let v_initial = initial_voltage(ladder, &coeffs, self.source, step.from);
+                lane_droop(&responses[i], v_initial, step)
+            })
+            .collect()
     }
 
-    /// The allocation-free core of [`TransientSim::run_batch`]: integrates
-    /// `steps.len()` lanes into `ws` and returns the per-lane results as a
-    /// view into the workspace (input order, one entry per step).
-    ///
-    /// After `ws` has warmed up on a given batch shape — same or larger
-    /// ladder and lane count, warm coefficient/steady-state caches — a
-    /// call performs **zero heap allocations**: every state buffer, the
-    /// lane bookkeeping, and each result's waveform `Vec` are reused in
-    /// place. The returned slice borrows `ws` and is overwritten by the
-    /// next batch run through the same workspace.
-    ///
-    /// Results are bit-identical to [`TransientSim::run_batch`] at every
-    /// width; the wrappers are thin clones of this path.
-    #[must_use]
-    pub fn run_batch_in<'w>(
+    /// One unit response per distinct `(at, slew)` of `steps`, and the
+    /// index of each step's response.
+    fn unit_responses(
         &self,
         ladder: &Ladder,
+        coeffs: &LadderCoeffs,
         steps: &[LoadStep],
-        width: KernelWidth,
-        ws: &'w mut BatchWorkspace,
-    ) -> &'w [TransientResult] {
-        let b = steps.len();
-        if b == 0 {
-            return &[];
-        }
-        let coeffs = crate::cache::ladder_coeffs(ladder);
-        let n = coeffs.nodes();
-        let dt = self.dt.value();
-        // Step counts and window sizes are small positive ratios; the
-        // casts cannot truncate or lose sign in practice.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let n_steps = (self.duration.value() / dt).ceil() as usize;
-        let decimate = self.decimate.max(1);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let settle_steps = ((SETTLE_WINDOW_S / dt).ceil() as usize).max(1);
-        let source = self.source.value();
+        record: bool,
+    ) -> (Vec<UnitResponse>, Vec<usize>) {
+        let key = cache::ladder_key(ladder);
+        let mut shapes: Vec<(u64, u64)> = Vec::new();
+        let mut responses = Vec::new();
+        let shared = steps
+            .iter()
+            .map(|step| {
+                let shape = (step.at.value().to_bits(), step.slew.value().to_bits());
+                shapes.iter().position(|s| *s == shape).unwrap_or_else(|| {
+                    shapes.push(shape);
+                    responses.push(UnitResponse::compute(
+                        coeffs,
+                        key,
+                        self,
+                        step.at.value(),
+                        step.slew.value(),
+                        record,
+                    ));
+                    responses.len() - 1
+                })
+            })
+            .collect();
+        (responses, shared)
+    }
 
-        let rows = 2 * n * b;
-        ws.prepare(rows, b);
-
-        // Lane-major SoA state: row k (state variable) × column (lane).
-        for (lane, &step) in steps.iter().enumerate() {
-            let init = crate::cache::dc_steady_state(ladder, source, step.from.value(), || {
-                coeffs.steady_state(self.source, step.from)
-            });
-            for (k, &x) in init.iter().enumerate() {
-                ws.state[k * b + lane] = x;
-            }
-            let v_initial = Volts::new(init[2 * n - 1]);
-            // The settle target is the die entry of the post-step DC
-            // solution — the same solve `dc_steady_state` already caches,
-            // so a warm sweep reads it back alloc-free instead of paying a
-            // fresh `steady_state` vector per lane per call. Bit-identical
-            // to `coeffs.die_steady_voltage(self.source, step.to)`.
-            let target = crate::cache::dc_steady_state(ladder, source, step.to.value(), || {
-                coeffs.steady_state(self.source, step.to)
-            });
-            let v_settle_target = target.get(2 * n - 1).copied().unwrap_or(source);
-            let settle_tol =
-                SETTLE_ABS_TOL_V.max(SETTLE_REL_TOL * (v_initial.value() - v_settle_target).abs());
-            ws.cols.push(LaneRun {
-                lane,
-                step,
-                v_settle_target,
-                settle_tol,
-                settle_after: (step.at + step.slew).value(),
-                in_band: 0,
-            });
-            let out = &mut ws.results[lane];
-            out.samples.reserve(n_steps / decimate + 2);
-            out.samples.push((Seconds::ZERO, v_initial));
-            out.v_min = v_initial;
-            out.t_min = Seconds::ZERO;
-            out.v_initial = v_initial;
-            out.v_final = v_initial;
-            ws.t_exit[lane] = 0.0;
-        }
-
-        let mut kernel = Kernel {
-            coeffs: &coeffs,
-            source,
-            dt,
-            b,
-            n_steps,
-            decimate,
-            settle_steps,
-            state: &mut ws.state[..rows],
-            k1: &mut ws.k1[..rows],
-            k2: &mut ws.k2[..rows],
-            k3: &mut ws.k3[..rows],
-            k4: &mut ws.k4[..rows],
-            tmp: &mut ws.tmp[..rows],
-            i_now: &mut ws.i_now[..b],
-            i_mid: &mut ws.i_mid[..b],
-            i_end: &mut ws.i_end[..b],
-            cols: &mut ws.cols,
-            results: &mut ws.results[..b],
-            t_exit: &mut ws.t_exit[..b],
-            exits: &mut ws.exits,
+    /// Scales `response` to the lane `step`.
+    fn lane(
+        &self,
+        ladder: &Ladder,
+        coeffs: &LadderCoeffs,
+        response: &UnitResponse,
+        step: &LoadStep,
+    ) -> TransientResult {
+        let v_initial = initial_voltage(ladder, coeffs, self.source, step.from);
+        let delta = (step.to - step.from).value();
+        let (v_min, t_min) = response.lane_min(v_initial, delta);
+        let v_final = if response.settled {
+            coeffs.die_steady_voltage(self.source, step.to)
+        } else {
+            v_initial + delta * response.u_end
         };
-        match width {
-            KernelWidth::Scalar => kernel.integrate::<f64>(),
-            KernelWidth::X4 => integrate_x4(&mut kernel),
-            KernelWidth::X8 => integrate_x8(&mut kernel),
-        }
-
-        &ws.results[..b]
-    }
-}
-
-/// Runs the 4-lane kernel — under AVX2 codegen when the CPU has it, else
-/// the portable compilation of the same generic code (so the 4-lane data
-/// path is exercisable anywhere).
-#[cfg(target_arch = "x86_64")]
-fn integrate_x4(kernel: &mut Kernel<'_>) {
-    #[target_feature(enable = "avx2")]
-    fn inner(kernel: &mut Kernel<'_>) {
-        kernel.integrate::<F64x4>();
-    }
-    if KernelWidth::detect() >= KernelWidth::X4 {
-        // SAFETY: `detect()` returns X4 or wider only when the running CPU
-        // reports AVX2, so the feature-gated entry point is sound here.
-        unsafe { inner(kernel) }
-    } else {
-        kernel.integrate::<F64x4>();
-    }
-}
-
-/// Portable 4-lane kernel for non-x86-64 targets (same generic code, no
-/// feature-gated codegen).
-#[cfg(not(target_arch = "x86_64"))]
-fn integrate_x4(kernel: &mut Kernel<'_>) {
-    kernel.integrate::<F64x4>();
-}
-
-/// Runs the 8-lane kernel — under AVX-512F codegen when the CPU has it,
-/// else the portable compilation of the same generic code.
-#[cfg(target_arch = "x86_64")]
-fn integrate_x8(kernel: &mut Kernel<'_>) {
-    #[target_feature(enable = "avx512f")]
-    fn inner(kernel: &mut Kernel<'_>) {
-        kernel.integrate::<F64x8>();
-    }
-    if KernelWidth::detect() >= KernelWidth::X8 {
-        // SAFETY: `detect()` returns X8 only when the running CPU reports
-        // AVX-512F, so the feature-gated entry point is sound here.
-        unsafe { inner(kernel) }
-    } else {
-        kernel.integrate::<F64x8>();
-    }
-}
-
-/// Portable 8-lane kernel for non-x86-64 targets.
-#[cfg(not(target_arch = "x86_64"))]
-fn integrate_x8(kernel: &mut Kernel<'_>) {
-    kernel.integrate::<F64x8>();
-}
-
-impl Kernel<'_> {
-    /// The whole integration loop — RK4 stages, settle detection, and
-    /// swap-compaction — generic over the lane type. `#[inline(always)]`
-    /// so each width-specific entry point gets its own codegen under its
-    /// own target features.
-    #[inline(always)]
-    fn integrate<L: Lanes>(&mut self) {
-        let b = self.b;
-        let n = self.coeffs.nodes();
-        let dt = self.dt;
-        let source = self.source;
-        let mut active = b;
-        for s in 0..self.n_steps {
-            if active == 0 {
-                break;
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let t = s as f64 * dt;
-            for (col, run) in self.cols.iter().enumerate().take(active) {
-                self.i_mid[col] = run.step.current_at(Seconds::new(t + 0.5 * dt)).value();
-                self.i_now[col] = run.step.current_at(Seconds::new(t)).value();
-                self.i_end[col] = run.step.current_at(Seconds::new(t + dt)).value();
-            }
-
-            derivative_rows::<L>(
-                self.coeffs,
-                source,
-                self.state,
-                self.i_now,
-                self.k1,
-                b,
-                active,
-            );
-            axpy_rows::<L>(self.state, self.k1, 0.5 * dt, self.tmp, b, active);
-            derivative_rows::<L>(
-                self.coeffs,
-                source,
-                self.tmp,
-                self.i_mid,
-                self.k2,
-                b,
-                active,
-            );
-            axpy_rows::<L>(self.state, self.k2, 0.5 * dt, self.tmp, b, active);
-            derivative_rows::<L>(
-                self.coeffs,
-                source,
-                self.tmp,
-                self.i_mid,
-                self.k3,
-                b,
-                active,
-            );
-            axpy_rows::<L>(self.state, self.k3, dt, self.tmp, b, active);
-            derivative_rows::<L>(
-                self.coeffs,
-                source,
-                self.tmp,
-                self.i_end,
-                self.k4,
-                b,
-                active,
-            );
-
-            rk4_combine_rows::<L>(
-                self.state, self.k1, self.k2, self.k3, self.k4, dt, b, active,
-            );
-
-            let t_now = Seconds::new(t + dt);
-            self.exits.clear();
-            for (col, run) in self.cols.iter_mut().enumerate().take(active) {
-                let out = &mut self.results[run.lane];
-                let v_die = Volts::new(self.state[(2 * n - 1) * b + col]);
-                self.t_exit[run.lane] = t_now.value();
-                if v_die < out.v_min {
-                    out.v_min = v_die;
-                    out.t_min = t_now;
-                }
-                if s % self.decimate == 0 {
-                    out.samples.push((t_now, v_die));
-                }
-                if t_now.value() >= run.settle_after {
-                    if (v_die.value() - run.v_settle_target).abs() <= run.settle_tol {
-                        run.in_band += 1;
-                        if run.in_band >= self.settle_steps {
-                            self.exits.push(col);
-                        }
-                    } else {
-                        run.in_band = 0;
-                    }
-                }
-            }
-            // Retire settled lanes: record final state, then swap the last
-            // active column into the vacated slot. Descending column order
-            // guarantees every swapped-in column survived this step.
-            for &col in self.exits.iter().rev() {
-                let lane = self.cols[col].lane;
-                let out = &mut self.results[lane];
-                out.v_final = Volts::new(self.state[(2 * n - 1) * b + col]);
-                push_final_sample(&mut out.samples, self.t_exit[lane], out.v_final);
-                let last = active - 1;
-                if col != last {
-                    for row in self.state.chunks_exact_mut(b) {
-                        row.swap(col, last);
-                    }
-                    self.cols.swap(col, last);
-                }
-                active = last;
-            }
-        }
-
-        // Survivors ran the full window (their t_exit is the last step's
-        // timestamp, exactly as before early-exit retirement).
-        for (col, run) in self.cols.iter().enumerate().take(active) {
-            let out = &mut self.results[run.lane];
-            out.v_final = Volts::new(self.state[(2 * n - 1) * b + col]);
-            push_final_sample(&mut out.samples, self.t_exit[run.lane], out.v_final);
+        TransientResult {
+            samples: response
+                .samples
+                .iter()
+                .map(|&(t, u)| (Seconds::new(t), Volts::new(v_initial + delta * u)))
+                .collect(),
+            v_min: Volts::new(v_min),
+            t_min: Seconds::new(t_min),
+            v_initial: Volts::new(v_initial),
+            v_final: Volts::new(v_final),
         }
     }
 }
 
-/// Computes `d(state)/dt` for the first `active` lane columns into `out`.
-///
-/// Row-by-row mirror of [`LadderCoeffs::derivative`]: the forward branch
-/// recurrence and the backward node recurrence walk the same coefficient
-/// order, but the inner loop runs across lanes — which carry no cross-lane
-/// dependency — in explicit `L::WIDTH`-wide vectors plus a scalar
-/// remainder. Per lane, every expression is evaluated exactly as in the
-/// scalar kernel.
-#[inline(always)]
-fn derivative_rows<L: Lanes>(
-    coeffs: &LadderCoeffs,
-    source: f64,
-    state: &[f64],
-    i_load: &[f64],
-    out: &mut [f64],
-    b: usize,
-    active: usize,
-) {
-    let n = coeffs.nodes();
-    let (i_rows, v_rows) = state.split_at(n * b);
-    let (di_rows, dv_rows) = out.split_at_mut(n * b);
-
-    for k in 0..n {
-        let ik = &i_rows[k * b..k * b + active];
-        let vk = &v_rows[k * b..k * b + active];
-        let dk = &mut di_rows[k * b..k * b + active];
-        let rk = coeffs.r[k];
-        let inv_lk = coeffs.inv_l[k];
-        if k == 0 {
-            branch_head_span::<L>(source, vk, ik, rk, inv_lk, dk);
-        } else {
-            let vp = &v_rows[(k - 1) * b..(k - 1) * b + active];
-            branch_span::<L>(vp, vk, ik, rk, inv_lk, dk);
-        }
-    }
-    // Walk backwards so each node sees its downstream neighbour's current;
-    // the last node feeds the die load.
-    for k in (0..n).rev() {
-        let ik = &i_rows[k * b..k * b + active];
-        let dvk = &mut dv_rows[k * b..k * b + active];
-        let inv_ck = coeffs.inv_c[k];
-        if k == n - 1 {
-            sub_scale_span::<L>(ik, &i_load[..active], inv_ck, dvk);
-        } else {
-            let i_next = &i_rows[(k + 1) * b..(k + 1) * b + active];
-            sub_scale_span::<L>(ik, i_next, inv_ck, dvk);
-        }
-    }
+/// The droop of the lane `step` from `response`, bit-identical to
+/// [`TransientResult::droop`] of the same lane's full result.
+fn lane_droop(response: &UnitResponse, v_initial: f64, step: &LoadStep) -> Volts {
+    let (v_min, _) = response.lane_min(v_initial, (step.to - step.from).value());
+    (Volts::new(v_initial) - Volts::new(v_min)).max(Volts::ZERO)
 }
 
-/// `out = (source - v - r·i) · inv_l` across one span — the head branch,
-/// whose upstream voltage is the VR setpoint.
-#[inline(always)]
-fn branch_head_span<L: Lanes>(
-    source: f64,
-    v: &[f64],
-    i: &[f64],
-    r: f64,
-    inv_l: f64,
-    out: &mut [f64],
-) {
-    let sv = L::splat(source);
-    let rv = L::splat(r);
-    let lv = L::splat(inv_l);
-    let mut oc = out.chunks_exact_mut(L::WIDTH);
-    let mut vc = v.chunks_exact(L::WIDTH);
-    let mut ic = i.chunks_exact(L::WIDTH);
-    for ((ow, vw), iw) in (&mut oc).zip(&mut vc).zip(&mut ic) {
-        sv.sub(L::load(vw))
-            .sub(rv.mul(L::load(iw)))
-            .mul(lv)
-            .store(ow);
-    }
-    for ((o, &vx), &ix) in oc
-        .into_remainder()
-        .iter_mut()
-        .zip(vc.remainder())
-        .zip(ic.remainder())
-    {
-        *o = (source - vx - r * ix) * inv_l;
-    }
-}
-
-/// `out = (v_prev - v - r·i) · inv_l` across one span — an interior branch
-/// fed by the previous node's voltage.
-#[inline(always)]
-fn branch_span<L: Lanes>(
-    v_prev: &[f64],
-    v: &[f64],
-    i: &[f64],
-    r: f64,
-    inv_l: f64,
-    out: &mut [f64],
-) {
-    let rv = L::splat(r);
-    let lv = L::splat(inv_l);
-    let mut oc = out.chunks_exact_mut(L::WIDTH);
-    let mut pc = v_prev.chunks_exact(L::WIDTH);
-    let mut vc = v.chunks_exact(L::WIDTH);
-    let mut ic = i.chunks_exact(L::WIDTH);
-    for (((ow, pw), vw), iw) in (&mut oc).zip(&mut pc).zip(&mut vc).zip(&mut ic) {
-        L::load(pw)
-            .sub(L::load(vw))
-            .sub(rv.mul(L::load(iw)))
-            .mul(lv)
-            .store(ow);
-    }
-    for (((o, &px), &vx), &ix) in oc
-        .into_remainder()
-        .iter_mut()
-        .zip(pc.remainder())
-        .zip(vc.remainder())
-        .zip(ic.remainder())
-    {
-        *o = (px - vx - r * ix) * inv_l;
-    }
-}
-
-/// `out = (a - b) · scale` across one span — the backward node recurrence
-/// (`b` is the downstream current row, or the die load for the last node).
-#[inline(always)]
-fn sub_scale_span<L: Lanes>(a: &[f64], b: &[f64], scale: f64, out: &mut [f64]) {
-    let sv = L::splat(scale);
-    let mut oc = out.chunks_exact_mut(L::WIDTH);
-    let mut ac = a.chunks_exact(L::WIDTH);
-    let mut bc = b.chunks_exact(L::WIDTH);
-    for ((ow, aw), bw) in (&mut oc).zip(&mut ac).zip(&mut bc) {
-        L::load(aw).sub(L::load(bw)).mul(sv).store(ow);
-    }
-    for ((o, &ax), &bx) in oc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-    {
-        *o = (ax - bx) * scale;
-    }
-}
-
-/// `out = x + a · scale` over the first `active` columns of every row —
-/// the batched mirror of the scalar kernel's `axpy`.
-#[inline(always)]
-fn axpy_rows<L: Lanes>(x: &[f64], a: &[f64], scale: f64, out: &mut [f64], b: usize, active: usize) {
-    if active == b {
-        // Full-width fast path: no masking needed, one flat span over the
-        // whole buffer (same per-element expression).
-        axpy_span::<L>(x, a, scale, out);
-        return;
-    }
-    for ((orow, xrow), arow) in out
-        .chunks_exact_mut(b)
-        .zip(x.chunks_exact(b))
-        .zip(a.chunks_exact(b))
-    {
-        axpy_span::<L>(&xrow[..active], &arow[..active], scale, &mut orow[..active]);
-    }
-}
-
-/// `out = x + a · scale` across one span.
-#[inline(always)]
-fn axpy_span<L: Lanes>(x: &[f64], a: &[f64], scale: f64, out: &mut [f64]) {
-    let sv = L::splat(scale);
-    let mut oc = out.chunks_exact_mut(L::WIDTH);
-    let mut xc = x.chunks_exact(L::WIDTH);
-    let mut ac = a.chunks_exact(L::WIDTH);
-    for ((ow, xw), aw) in (&mut oc).zip(&mut xc).zip(&mut ac) {
-        L::load(xw).add(L::load(aw).mul(sv)).store(ow);
-    }
-    for ((o, &xi), &ai) in oc
-        .into_remainder()
-        .iter_mut()
-        .zip(xc.remainder())
-        .zip(ac.remainder())
-    {
-        *o = xi + ai * scale;
-    }
-}
-
-/// RK4 state update `state += dt/6 · (k1 + 2·k2 + 2·k3 + k4)` over the
-/// first `active` columns of every row.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn rk4_combine_rows<L: Lanes>(
-    state: &mut [f64],
-    k1: &[f64],
-    k2: &[f64],
-    k3: &[f64],
-    k4: &[f64],
-    dt: f64,
-    b: usize,
-    active: usize,
-) {
-    if active == b {
-        // Full-width fast path: every column is live, so the row-by-row
-        // masking collapses into one flat span over the whole SoA buffer.
-        rk4_combine_span::<L>(state, k1, k2, k3, k4, dt);
-        return;
-    }
-    for ((((srow, arow), brow), crow), drow) in state
-        .chunks_exact_mut(b)
-        .zip(k1.chunks_exact(b))
-        .zip(k2.chunks_exact(b))
-        .zip(k3.chunks_exact(b))
-        .zip(k4.chunks_exact(b))
-    {
-        rk4_combine_span::<L>(
-            &mut srow[..active],
-            &arow[..active],
-            &brow[..active],
-            &crow[..active],
-            &drow[..active],
-            dt,
-        );
-    }
-}
-
-/// RK4 state update across one span. The lane expression mirrors the
-/// scalar `st += dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)` term-for-term in
-/// the same association order, so every width is bit-identical.
-#[inline(always)]
-fn rk4_combine_span<L: Lanes>(
-    state: &mut [f64],
-    k1: &[f64],
-    k2: &[f64],
-    k3: &[f64],
-    k4: &[f64],
-    dt: f64,
-) {
-    let dt6 = L::splat(dt / 6.0);
-    let two = L::splat(2.0);
-    let mut sc = state.chunks_exact_mut(L::WIDTH);
-    let mut ac = k1.chunks_exact(L::WIDTH);
-    let mut bc = k2.chunks_exact(L::WIDTH);
-    let mut cc = k3.chunks_exact(L::WIDTH);
-    let mut dc = k4.chunks_exact(L::WIDTH);
-    for ((((sw, aw), bw), cw), dw) in (&mut sc)
-        .zip(&mut ac)
-        .zip(&mut bc)
-        .zip(&mut cc)
-        .zip(&mut dc)
-    {
-        let sum = L::load(aw)
-            .add(two.mul(L::load(bw)))
-            .add(two.mul(L::load(cw)))
-            .add(L::load(dw));
-        L::load(sw).add(dt6.mul(sum)).store(sw);
-    }
-    for ((((st, &av), &bv), &cv), &dv) in sc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-        .zip(cc.remainder())
-        .zip(dc.remainder())
-    {
-        *st += dt / 6.0 * (av + 2.0 * bv + 2.0 * cv + dv);
-    }
+/// The die's DC voltage under the pre-step load `from`, through the
+/// operating-point cache (sweeps share one quiescent point).
+fn initial_voltage(ladder: &Ladder, coeffs: &LadderCoeffs, source: Volts, from: Amps) -> f64 {
+    cache::dc_steady_state(ladder, source.value(), from.value(), || {
+        coeffs.steady_state(source, from)
+    })
+    .last()
+    .copied()
+    .unwrap_or_else(|| source.value())
 }
 
 #[cfg(test)]
@@ -773,7 +135,7 @@ mod tests {
     use super::*;
     use crate::elements::{CapBank, SeriesBranch};
     use crate::ladder::VrOutputModel;
-    use crate::units::{Amps, Farads, Henries, Hertz, Ohms};
+    use crate::units::{Farads, Henries, Hertz, Ohms};
 
     fn small_ladder() -> Ladder {
         let vr = VrOutputModel::new(Ohms::from_mohm(1.6), Hertz::new(300e3)).unwrap();
@@ -830,53 +192,28 @@ mod tests {
             duration: Seconds::from_us(20.0),
             decimate: 64,
         };
-        // Deltas chosen so lanes settle at different times (small steps
-        // settle fast, large ones ring longer), exercising mid-run
-        // swap-compaction.
-        let steps: Vec<LoadStep> = [2.0, 45.0, 0.0, 18.0, 30.0]
-            .iter()
-            .map(|&delta| LoadStep {
-                from: Amps::new(5.0),
-                to: Amps::new(5.0 + delta),
-                at: Seconds::from_us(1.0),
-                slew: Seconds::from_ns(10.0),
-            })
-            .collect();
+        // Two slews and a null step: lanes share a unit response only
+        // within their (at, slew) group.
+        let steps: Vec<LoadStep> = [
+            (2.0, 10.0),
+            (45.0, 3.0),
+            (0.0, 10.0),
+            (18.0, 3.0),
+            (30.0, 10.0),
+        ]
+        .iter()
+        .map(|&(delta, slew_ns)| LoadStep {
+            from: Amps::new(5.0),
+            to: Amps::new(5.0 + delta),
+            at: Seconds::from_us(1.0),
+            slew: Seconds::from_ns(slew_ns),
+        })
+        .collect();
         let batch = sim.run_batch(&ladder, &steps);
         assert_eq!(batch.len(), steps.len());
         for (step, got) in steps.iter().zip(&batch) {
             let scalar = sim.run(&ladder, *step);
             assert_results_bit_identical(&scalar, got);
-        }
-    }
-
-    #[test]
-    fn every_kernel_width_is_bit_identical() {
-        let ladder = small_ladder();
-        let sim = TransientSim {
-            source: Volts::new(1.0),
-            dt: Seconds::from_ns(0.5),
-            duration: Seconds::from_us(20.0),
-            decimate: 64,
-        };
-        // 5 lanes: not a multiple of either vector width, so both wide
-        // kernels process a scalar remainder alongside full vectors.
-        let steps: Vec<LoadStep> = [3.0, 40.0, 12.0, 27.0, 8.0]
-            .iter()
-            .map(|&delta| LoadStep {
-                from: Amps::new(5.0),
-                to: Amps::new(5.0 + delta),
-                at: Seconds::from_us(1.0),
-                slew: Seconds::from_ns(10.0),
-            })
-            .collect();
-        let reference = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
-        for width in [KernelWidth::X4, KernelWidth::X8] {
-            let wide = sim.run_batch_with_width(&ladder, &steps, width);
-            assert_eq!(wide.len(), reference.len());
-            for (a, b) in reference.iter().zip(&wide) {
-                assert_results_bit_identical(a, b);
-            }
         }
     }
 
@@ -908,8 +245,8 @@ mod tests {
         for r in sim.run_batch(&ladder, &[step]) {
             for pair in r.samples.windows(2) {
                 assert!(
-                    pair[0].0.value().to_bits() != pair[1].0.value().to_bits(),
-                    "duplicate sample timestamp {}",
+                    pair[0].0.value() < pair[1].0.value(),
+                    "sample timestamps not increasing at {}",
                     pair[0].0.value()
                 );
             }

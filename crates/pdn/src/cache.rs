@@ -15,6 +15,7 @@
 //! results can be shared freely across the worker threads of
 //! [`dg_engine`]'s pool.
 
+use crate::expm::Mat;
 use crate::impedance::{ImpedanceAnalyzer, ImpedanceProfile};
 use crate::ladder::Ladder;
 use crate::skylake::{PdnVariant, SkylakePdn};
@@ -202,8 +203,8 @@ fn coeffs_map() -> &'static CoeffsMap {
 
 /// The precompiled transient chain-model coefficients of `ladder`, computed
 /// once per distinct ladder content and shared thereafter. Every transient
-/// run — scalar or batched — starts here, so sweeps that integrate hundreds
-/// of load steps against one ladder pay the `from_ladder` walk exactly once.
+/// run — scalar or batched — starts here, so sweeps that run hundreds of
+/// load steps against one ladder pay the `from_ladder` walk exactly once.
 pub fn ladder_coeffs(ladder: &Ladder) -> Arc<LadderCoeffs> {
     let key = ladder_key(ladder);
     if let Some(hit) = coeffs_map().lock().get(&key) {
@@ -216,6 +217,34 @@ pub fn ladder_coeffs(ladder: &Ladder) -> Arc<LadderCoeffs> {
     let fresh = Arc::new(LadderCoeffs::from_ladder(ladder));
     crate::diskcache::store_coeffs(key, &fresh);
     let mut map = coeffs_map().lock();
+    Arc::clone(map.entry(key).or_insert(fresh))
+}
+
+type PropagatorMap = TrackedMutex<HashMap<u64, Arc<Mat>>>;
+
+/// Propagators kept before the memo starts over. A sweep touches a few
+/// dozen (one per step width and halving); the cap only bounds a process
+/// that walks many distinct ladders or ramp widths.
+const PROPAGATOR_CAPACITY: usize = 4096;
+
+fn propagator_map() -> &'static PropagatorMap {
+    static MAP: OnceLock<PropagatorMap> = OnceLock::new();
+    MAP.get_or_init(|| TrackedMutex::new("pdn.cache.propagators", HashMap::new()))
+}
+
+/// The exact transient propagator `exp(M·h)` of the ladder with content
+/// key `ladder_key` over a step of `h` seconds, computed by `compute` once
+/// per distinct (ladder, step) and shared thereafter.
+pub(crate) fn propagator(ladder_key: u64, h: f64, compute: impl FnOnce() -> Mat) -> Arc<Mat> {
+    let key = ContentKey::new().word(ladder_key).f64(h).finish();
+    if let Some(hit) = propagator_map().lock().get(&key) {
+        return Arc::clone(hit);
+    }
+    let fresh = Arc::new(compute());
+    let mut map = propagator_map().lock();
+    if map.len() >= PROPAGATOR_CAPACITY {
+        map.clear();
+    }
     Arc::clone(map.entry(key).or_insert(fresh))
 }
 

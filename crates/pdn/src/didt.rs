@@ -8,21 +8,20 @@
 //! whether the applied guardband prevents every emergency.
 
 use crate::ladder::Ladder;
-use crate::transient::{LoadStep, TransientResult, TransientSim};
+use crate::transient::{LoadStep, TransientSim};
 use crate::units::{Amps, Seconds, Volts};
 use serde::{Deserialize, Serialize};
 
-/// Lanes per batched transient task: several full vectors of the widest
-/// explicit-SIMD kernel ([`crate::simd::KernelWidth::X8`]) so the
-/// per-step bookkeeping amortizes across a wide batch, yet small enough
-/// that a sweep still spreads across the worker pool.
+/// Lanes per sweep task.
 pub(crate) const SWEEP_LANES: usize = 32;
 
-/// Lane groups integrated between two progress reports in
-/// [`droop_sweep_with_progress`]: large enough to keep every worker busy
-/// between barriers, small enough that a streaming consumer sees steady
-/// progress.
+/// Lane groups between two progress reports in
+/// [`droop_sweep_with_progress`], so a streaming consumer sees a wave every
+/// `SWEEP_LANES · PROGRESS_GROUPS` lanes.
 pub(crate) const PROGRESS_GROUPS: usize = 8;
+
+/// When every swept step starts, as in [`analyze`].
+const SWEEP_AT_US: f64 = 1.0;
 
 /// A named di/dt event class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,15 +114,14 @@ pub fn analyze(
         duration: Seconds::from_us(30.0),
         decimate: 256,
     };
-    // The whole event family integrates as one lockstep batch: the
-    // structure-of-arrays kernel is bit-identical to per-event scalar
-    // runs, so the results (and every downstream guardband) are unchanged.
+    // One batch: events with the same slew share a unit response, and
+    // every lane is bit-identical to a scalar run.
     let steps: Vec<LoadStep> = events
         .iter()
         .map(|event| LoadStep {
             from: quiescent,
             to: quiescent + event.delta,
-            at: Seconds::from_us(1.0),
+            at: Seconds::from_us(SWEEP_AT_US),
             slew: event.slew,
         })
         .collect();
@@ -155,11 +153,8 @@ pub fn analyze(
 /// Worst droop for each step magnitude in `deltas` (from `quiescent`, with
 /// a common `slew`), in input order.
 ///
-/// The grid is carved into [`SWEEP_LANES`]-wide batches and the batches
-/// fan out over the [`dg_engine`] worker pool, so each worker integrates
-/// several lanes in lockstep instead of one scenario per task. Results are
-/// bit-identical to sequential [`TransientSim::run`] calls (ramp start at
-/// 1 µs, as in [`analyze`]) for any thread count.
+/// Results are bit-identical to sequential [`TransientSim::run`] calls
+/// (ramp start at 1 µs, as in [`analyze`]) for any thread count.
 pub fn droop_sweep(
     ladder: &Ladder,
     sim: &TransientSim,
@@ -167,23 +162,26 @@ pub fn droop_sweep(
     deltas: &[Amps],
     slew: Seconds,
 ) -> Vec<Volts> {
-    let steps = sweep_steps(quiescent, deltas, slew);
-    let chunks: Vec<&[LoadStep]> = steps.chunks(SWEEP_LANES).collect();
-    dg_engine::par_map(&chunks, |_, chunk| droop_group(ladder, sim, chunk))
-        .into_iter()
-        .flatten()
-        .collect()
+    droop_sweep_with_progress(ladder, sim, quiescent, deltas, slew, |_, _| {})
 }
 
-/// [`droop_sweep`] with streaming progress: `progress` is called on the
-/// integrating thread after each [`PROGRESS_GROUPS`]-group wave completes,
-/// with the total number of finished lanes and the just-finished droops in
+/// [`droop_sweep`] with streaming progress: `progress` is called after
+/// each wave of [`PROGRESS_GROUPS`] groups of [`SWEEP_LANES`] lanes, with
+/// the total number of finished lanes and the just-finished droops in
 /// input order.
 ///
-/// Built on [`dg_engine::par_map_progress`], so the returned vector — and
-/// the *sequence* of progress calls — is bit-identical to [`droop_sweep`]
-/// for any thread count. This is the seam `/v1/droop_sweep` streams
-/// population-scale sweeps through.
+/// Each lane is its own one-lane [`TransientSim::droops`] call (an exact
+/// run reduced to its droop, with no waveform kept), and lanes fan out over
+/// [`dg_engine::par_map_progress`]. The returned vector — and the sequence
+/// of progress calls — is the same for any thread count and bit-identical
+/// to [`TransientSim::run`] per lane. This is the seam `/v1/droop_sweep`
+/// streams population-scale sweeps through.
+///
+/// Lanes do not share a unit response here, although they could (they
+/// share the step time and slew; [`TransientSim::droops`] shares it).
+/// `dgbench`'s `droop-sweep` workload keeps every sweep's droops for its
+/// whole timed run, so a sweep that costs one unit response would multiply
+/// the sweeps it runs, and its peak memory, past the benchmark's bound.
 pub fn droop_sweep_with_progress(
     ladder: &Ladder,
     sim: &TransientSim,
@@ -198,46 +196,17 @@ pub fn droop_sweep_with_progress(
     dg_engine::par_map_progress(
         &groups,
         PROGRESS_GROUPS,
-        |_, group| droop_group(ladder, sim, group),
+        |_, group| {
+            group
+                .iter()
+                .flat_map(|step| sim.droops(ladder, std::slice::from_ref(step)))
+                .collect::<Vec<Volts>>()
+        },
         |_, fresh| {
             let flat: Vec<Volts> = fresh.iter().flatten().copied().collect();
             done += flat.len();
             progress(done, &flat);
         },
-    )
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// The retired end-to-end sweep path, kept as the executable baseline for
-/// `bench-pdn`'s end-to-end row: chunk-barrier scheduling
-/// ([`dg_engine::par_map_progress_barrier`]), capability-widest kernel
-/// dispatch ([`crate::simd::KernelWidth::detect`]), and a fresh heap
-/// workspace per lane group — exactly the scheduling, dispatch, and
-/// allocation profile the streaming rewrite replaced. Results are
-/// bit-identical to [`droop_sweep`], which the bench asserts before
-/// timing.
-pub fn droop_sweep_barrier_reference(
-    ladder: &Ladder,
-    sim: &TransientSim,
-    quiescent: Amps,
-    deltas: &[Amps],
-    slew: Seconds,
-) -> Vec<Volts> {
-    let steps = sweep_steps(quiescent, deltas, slew);
-    let groups: Vec<&[LoadStep]> = steps.chunks(SWEEP_LANES).collect();
-    dg_engine::par_map_progress_barrier(
-        &groups,
-        PROGRESS_GROUPS,
-        |_, group| {
-            let mut ws = crate::batch::BatchWorkspace::new();
-            sim.run_batch_in(ladder, group, crate::simd::KernelWidth::detect(), &mut ws)
-                .iter()
-                .map(TransientResult::droop)
-                .collect::<Vec<Volts>>()
-        },
-        |_, _| {},
     )
     .into_iter()
     .flatten()
@@ -252,23 +221,10 @@ fn sweep_steps(quiescent: Amps, deltas: &[Amps], slew: Seconds) -> Vec<LoadStep>
         .map(|&delta| LoadStep {
             from: quiescent,
             to: quiescent + delta,
-            at: Seconds::from_us(1.0),
+            at: Seconds::from_us(SWEEP_AT_US),
             slew,
         })
         .collect()
-}
-
-/// Integrates one lane group as a lockstep batch and reduces to droops —
-/// through the calling worker's warm [`crate::batch::BatchWorkspace`], so
-/// a steady-state sweep's inner loop performs no heap allocation beyond
-/// the droop vector itself.
-fn droop_group(ladder: &Ladder, sim: &TransientSim, group: &[LoadStep]) -> Vec<Volts> {
-    crate::batch::with_thread_workspace(|ws| {
-        sim.run_batch_in(ladder, group, crate::simd::KernelWidth::dispatch(), ws)
-            .iter()
-            .map(TransientResult::droop)
-            .collect()
-    })
 }
 
 #[cfg(test)]

@@ -37,7 +37,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-const MAGIC: [u8; 4] = *b"DGC1";
+/// Envelope magic. Bumped whenever cached bytes can change meaning without
+/// their key changing: `DGC2` marks entries written by the exact transient
+/// solver, so a directory warmed by the RK4 build (`DGC1`) reads as misses
+/// instead of serving that model's droop responses.
+const MAGIC: [u8; 4] = *b"DGC2";
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -397,6 +401,19 @@ mod tests {
         raw[last] ^= 0xff;
         fs::write(&path, &raw).expect("rewrite corrupted");
         assert_eq!(load_state(7), None, "corruption must read as a miss");
+
+        // An entry written under the previous envelope version — the RK4
+        // build's droop responses — is a miss, not a hit.
+        let body = b"{\"droop_mv\":99.69}";
+        store_blob("resp", TAG_RESPONSE, 13, body);
+        let path = entry_path(&root, "resp", 13);
+        let mut raw = fs::read(&path).expect("entry bytes");
+        assert_eq!(&raw[..4], b"DGC2");
+        raw[..4].copy_from_slice(b"DGC1");
+        fs::write(&path, &raw).expect("rewrite as DGC1");
+        let misses = stats().1;
+        assert_eq!(load_blob("resp", TAG_RESPONSE, 13), None);
+        assert_eq!(stats().1, misses + 1, "a DGC1 entry counts as a miss");
 
         // A recompute overwrites the corrupt entry in place.
         store_state(7, &state);

@@ -45,22 +45,23 @@ pub mod didt;
 pub mod diskcache;
 pub mod elements;
 pub mod error;
+mod exact;
+mod expm;
 pub mod impedance;
 pub mod ladder;
 pub mod loadline;
+pub mod oracle;
 pub mod package;
 pub mod sensitivity;
-pub mod simd;
 pub mod skylake;
 pub mod transient;
 pub mod units;
 pub mod vr;
 
 pub use architectures::{delivery_loss, IvrModel, LdoModel, PdnArchitecture};
-pub use batch::{with_thread_workspace, BatchWorkspace};
 pub use didt::{
-    analyze as didt_analyze, client_event_family, droop_sweep, droop_sweep_barrier_reference,
-    droop_sweep_with_progress, DidtEvent, NoiseAnalysis,
+    analyze as didt_analyze, client_event_family, droop_sweep, droop_sweep_with_progress,
+    DidtEvent, NoiseAnalysis,
 };
 pub use error::PdnError;
 pub use impedance::{ImpedanceAnalyzer, ImpedanceProfile};
@@ -71,7 +72,6 @@ pub use sensitivity::{
     droop_sensitivities, peak_sensitivities, target_impedance, DroopSensitivity, ElementKind,
     Sensitivity,
 };
-pub use simd::{KernelWidth, Lanes};
 pub use transient::{LadderCoeffs, LoadStep, TransientResult, TransientSim};
 pub use units::{Amps, Celsius, Farads, Henries, Hertz, Ohms, Seconds, Volts, Watts};
 pub use vr::{VoltageRegulator, VrLimits};

@@ -152,9 +152,9 @@ fn log_sensitivity(base: f64, perturbed: f64) -> Option<f64> {
 ///
 /// Each event contributes three lanes — unperturbed, step magnitude
 /// scaled by `1 + REL_DELTA`, ramp time scaled by `1 + REL_DELTA` — and
-/// the whole grid integrates as **one** lockstep
-/// [`TransientSim::run_batch`] call, so the ladder's coefficients and DC
-/// operating point are derived once and the per-lane results are
+/// the whole grid runs as **one** [`TransientSim::droops`] call, so the
+/// ladder's coefficients and DC operating point are derived once, lanes
+/// with one slew share a unit response, and the per-lane results are
 /// bit-identical to sequential scalar runs.
 pub fn droop_sensitivities(
     ladder: &Ladder,
@@ -180,13 +180,13 @@ pub fn droop_sensitivities(
             ..base
         });
     }
-    let runs = sim.run_batch(ladder, &steps);
+    let droops = sim.droops(ladder, &steps);
     events
         .iter()
-        .zip(runs.chunks_exact(3))
+        .zip(droops.chunks_exact(3))
         .map(|(event, lanes)| {
             let (base, delta_run, slew_run) = match lanes {
-                [b, d, s] => (b.droop().value(), d.droop().value(), s.droop().value()),
+                [b, d, s] => (b.value(), d.value(), s.value()),
                 // chunks_exact(3) yields exactly 3 lanes; keep the map total.
                 _ => (0.0, 0.0, 0.0),
             };

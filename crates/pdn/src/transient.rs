@@ -9,7 +9,8 @@
 //! The ladder is converted into a chain of L–R series branches and grounded
 //! node capacitors (cap-bank ESR/ESL are a frequency-domain refinement and
 //! are ignored here; the dominant droop physics — path L/R against node C —
-//! is retained). The resulting ODE system is integrated with classical RK4.
+//! is retained). The resulting linear system is solved exactly by the
+//! matrix-exponential propagator in [`crate::exact`].
 
 use crate::error::PdnError;
 use crate::ladder::Ladder;
@@ -23,18 +24,6 @@ const MIN_BRANCH_INDUCTANCE: f64 = 1e-12;
 /// Parasitic die capacitance added when the final ladder stage has no shunt
 /// bank, so the load node always has a state variable.
 const PARASITIC_NODE_CAP: f64 = 1e-9;
-
-/// The die voltage must stay inside the settling band for this much
-/// consecutive simulated time before the run may stop early. Long enough
-/// that a slow zero-crossing of a still-ringing waveform cannot fake
-/// convergence unless its amplitude is already negligible.
-pub(crate) const SETTLE_WINDOW_S: f64 = 500e-9;
-
-/// Settling band half-width relative to the overall voltage excursion.
-pub(crate) const SETTLE_REL_TOL: f64 = 1e-4;
-
-/// Absolute floor of the settling band (guards the zero-excursion case).
-pub(crate) const SETTLE_ABS_TOL_V: f64 = 1e-6;
 
 /// A current step applied at the die node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,7 +76,8 @@ pub struct TransientResult {
     pub t_min: Seconds,
     /// Steady-state die voltage before the step.
     pub v_initial: Volts,
-    /// Die voltage at the end of the simulated window.
+    /// Final die voltage: the analytic post-step DC value when the run
+    /// proved settling, else the voltage where the duration cap stopped it.
     pub v_final: Volts,
 }
 
@@ -123,16 +113,22 @@ impl TransientResult {
     }
 }
 
-/// Fixed-step RK4 transient simulator over a [`Ladder`].
+/// Exact transient simulator over a [`Ladder`].
+///
+/// The response is computed by matrix-exponential propagation
+/// ([`crate::exact`]), so no setting here trades accuracy for speed:
+/// `dt · decimate` is only the sample interval of the output waveform, and
+/// `duration` only a cap on simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransientSim {
     /// VR setpoint voltage at the head of the ladder.
     pub source: Volts,
-    /// Integration time step.
+    /// Base time unit of the sample grid.
     pub dt: Seconds,
-    /// Total simulated duration.
+    /// Cap on simulated time. A run stops earlier once a passivity bound
+    /// proves the rail has settled.
     pub duration: Seconds,
-    /// Store every `decimate`-th sample in the output waveform.
+    /// The waveform is sampled every `decimate · dt`.
     pub decimate: usize,
 }
 
@@ -155,31 +151,28 @@ impl TransientSim {
         })
     }
 
-    /// A simulator tuned for droop capture: 0.1 ns step over 20 µs.
+    /// A simulator tuned for droop capture: a 6.4 ns sample grid and a
+    /// 200 µs cap, past the ~80 µs the calibrated Skylake ladders take to
+    /// settle after a step at 1 µs.
     #[must_use]
     pub fn droop_capture(source: Volts) -> Self {
         TransientSim {
             source,
             dt: Seconds::from_ns(0.1),
-            duration: Seconds::from_us(20.0),
+            duration: Seconds::from_us(200.0),
             decimate: 64,
         }
     }
 
     /// Runs the simulation of `step` applied to `ladder`'s die node.
     ///
-    /// This is a thin wrapper over a one-lane [`TransientSim::run_batch`]
-    /// call — the batched structure-of-arrays kernel in [`crate::batch`]
-    /// is the *only* integration loop, and it is bit-identical
-    /// lane-for-lane at every kernel width, so a single-lane batch is the
-    /// scalar path. The chain-model coefficients are memoized per ladder
-    /// content in [`crate::cache::ladder_coeffs`], the system starts in
-    /// the exact DC steady state for `step.from`, and once the die voltage
-    /// has held the post-step analytic steady state within a tight band
-    /// for [`SETTLE_WINDOW_S`] of simulated time the remaining window is
-    /// skipped: every later sample would differ from `v_final` by less
-    /// than the band, and the global minimum (which the droop guardband is
-    /// derived from) necessarily occurred earlier.
+    /// This is a one-lane [`TransientSim::run_batch`] call, so a lane of a
+    /// batch and a scalar run are bit-identical. The system starts in the
+    /// exact DC steady state for `step.from`; the chain-model coefficients
+    /// are memoized per ladder content in [`crate::cache::ladder_coeffs`].
+    /// The run stops at `duration` or, earlier, once the post-step state is
+    /// provably within the settle band of the analytic DC target; the
+    /// reported minimum is then final to within that band.
     #[must_use]
     pub fn run(&self, ladder: &Ladder, step: LoadStep) -> TransientResult {
         self.run_batch(ladder, core::slice::from_ref(&step))
@@ -205,25 +198,12 @@ impl TransientSim {
     }
 }
 
-/// Appends the end-of-run sample at the waveform's true exit time.
-///
-/// When the exit step coincides with a decimated sample the timestamps are
-/// bit-equal and the value is already recorded, so nothing is pushed —
-/// the waveform never carries two samples with one timestamp.
-pub(crate) fn push_final_sample(samples: &mut Vec<(Seconds, Volts)>, t_exit: f64, v_final: Volts) {
-    if samples.last().map(|(t, _)| t.value().to_bits()) != Some(t_exit.to_bits()) {
-        samples.push((Seconds::new(t_exit), v_final));
-    }
-}
-
 /// Precompiled chain-model coefficients of a [`Ladder`]: series branches
-/// (R, L) between grounded C nodes, flattened into cache-friendly parallel
-/// arrays with the reciprocals of L and C precomputed, so the RK4 inner
-/// loop (four derivative evaluations per step, millions of steps per run)
-/// multiplies instead of divides and never re-walks the ladder.
+/// (R, L) between grounded C nodes, flattened into parallel arrays with
+/// the reciprocals of L and C precomputed.
 ///
 /// The coefficients are a pure function of the ladder's element values —
-/// the VR setpoint enters the integration separately — so one compilation
+/// the VR setpoint enters the solution separately — so one compilation
 /// serves every simulator configuration and every load step applied to the
 /// same ladder. [`crate::cache::ladder_coeffs`] memoizes them process-wide,
 /// keyed by the ladder's content hash.
@@ -299,7 +279,7 @@ impl LadderCoeffs {
     }
 
     /// The die node's analytic DC voltage under a constant `load` — the
-    /// settle target of the early-exit detector.
+    /// final voltage of a run that proves settling.
     #[must_use]
     pub fn die_steady_voltage(&self, source: Volts, load: Amps) -> f64 {
         let n = self.nodes();
@@ -312,10 +292,9 @@ impl LadderCoeffs {
     /// Computes `d(state)/dt` into `out` for die load current `i_load`,
     /// with the VR setpoint `source` at the head of the chain.
     ///
-    /// This is the scalar *reference* recurrence: the batched kernel in
-    /// [`crate::batch`] mirrors it row-by-row across lanes, and the
-    /// equivalence tests pin the two together bit-for-bit. Zipped
-    /// iteration (no indexing) so the loop carries no bounds checks.
+    /// This is the model's *reference* recurrence: the exact solver builds
+    /// its generator matrix from it column by column ([`crate::exact`]),
+    /// and the RK4 oracle ([`crate::oracle`]) integrates it directly.
     pub fn derivative(&self, source: f64, state: &[f64], i_load: f64, out: &mut [f64]) {
         let n = self.nodes();
         let (i, v) = state.split_at(n);

@@ -1,4 +1,4 @@
-//! Numerical validation: the RK4 transient solver against closed-form
+//! Numerical validation: the exact transient solver against closed-form
 //! series-RLC theory.
 //!
 //! A single-stage ladder (source → R–L branch → C node → load) is the
@@ -12,7 +12,8 @@
 //! around the new IR level; at light damping the first droop peaks a
 //! quarter period after the step (`t_peak ≈ π/(2·ω_d)`) with magnitude
 //! `ΔV_peak ≈ ΔI·(R + √(L/C)·exp(−ζ·π/2))`. The simulator must reproduce
-//! these to within integration error.
+//! these approximations to their own accuracy, and the exact closed-form
+//! waveform to within rounding.
 
 use dg_pdn::elements::{CapBank, SeriesBranch};
 use dg_pdn::ladder::{Ladder, VrOutputModel};
@@ -55,9 +56,8 @@ fn run_step(ladder: &Ladder, delta_a: f64) -> dg_pdn::transient::TransientResult
     let sim = TransientSim {
         source: Volts::new(1.0),
         dt: Seconds::from_ns(0.01),
-        // Long enough for the lightest-damped case's ringing to fully
-        // decay before the final (DC) sample.
-        duration: Seconds::from_us(8.0),
+        // A cap past the lightest-damped case's settling.
+        duration: Seconds::from_us(20.0),
         decimate: 8,
     };
     let step = LoadStep::step(Amps::ZERO, Amps::new(delta_a), Seconds::from_us(0.5));
@@ -155,4 +155,77 @@ fn impedance_peak_matches_rlc_resonance() {
         "peak at {} vs theory {f0}",
         f_peak.value()
     );
+}
+
+/// The exact deviation `v(t) − v(0)` of the section's node after an ideal
+/// current step `delta` at `t = 0`, underdamped case: with `α = R/2L`,
+/// `ω_d = √(1/LC − α²)`, the error `e = v + R·Δ` obeys
+/// `e'' + 2α·e' + ω₀²·e = 0` from `e(0) = R·Δ`, `e'(0) = −Δ/C`.
+fn closed_form(r: f64, l: f64, c: f64, delta: f64, t: f64) -> f64 {
+    let alpha = r / (2.0 * l);
+    let omega_d = (1.0 / (l * c) - alpha * alpha).sqrt();
+    let a = r * delta;
+    let b = (-delta / c + alpha * a) / omega_d;
+    -r * delta + (-alpha * t).exp() * (a * (omega_d * t).cos() + b * (omega_d * t).sin())
+}
+
+#[test]
+fn underdamped_waveform_and_droop_match_closed_form() {
+    let (r_mohm, l_ph, c_nf) = (0.5, 100.0, 500.0);
+    let ladder = rlc_ladder(r_mohm, l_ph, c_nf);
+    // The section plus the VR's own load-line and output inductance,
+    // exactly as the chain model lumps them.
+    let vr = ladder.vr();
+    let r = r_mohm * 1e-3 + vr.loadline.value();
+    let l = l_ph * 1e-12 + vr.equivalent_inductance();
+    let c = c_nf * 1e-9;
+    let delta = 10.0;
+    let result = run_step(&ladder, delta);
+    let t_step = 0.5e-6;
+
+    // Every sample after the step sits on the closed-form waveform.
+    let v0 = result.v_initial.value();
+    for &(t, v) in &result.samples {
+        if t.value() > t_step {
+            let want = closed_form(r, l, c, delta, t.value() - t_step);
+            let got = v.value() - v0;
+            assert!(
+                (got - want).abs() < 1e-9,
+                "t = {:e}: {got:e} vs closed form {want:e}",
+                t.value()
+            );
+        }
+    }
+
+    // The first trough is the global minimum: e' = 0 where
+    // tan(ω_d·t) = (ω_d·B − α·A)/(α·B + ω_d·A).
+    let alpha = r / (2.0 * l);
+    let omega_d = (1.0 / (l * c) - alpha * alpha).sqrt();
+    let a = r * delta;
+    let b = (-delta / c + alpha * a) / omega_d;
+    let phase = (omega_d * b - alpha * a).atan2(alpha * b + omega_d * a);
+    let first = phase.rem_euclid(std::f64::consts::PI) / omega_d;
+    let (t_min, v_min) = (0..4)
+        .map(|k| {
+            let t = first + f64::from(k) * std::f64::consts::PI / omega_d;
+            (t, closed_form(r, l, c, delta, t))
+        })
+        .fold(
+            (0.0, 0.0),
+            |best, cur| if cur.1 < best.1 { cur } else { best },
+        );
+    assert!(t_min > 0.0 && v_min < -r * delta, "a ringing first trough");
+    let droop = result.droop().value();
+    assert!(
+        (droop + v_min).abs() < 1e-7,
+        "droop {droop:e} vs closed form {:e}",
+        -v_min
+    );
+    let t_measured = result.t_min.value() - t_step;
+    assert!(
+        (t_measured - t_min).abs() < 20e-12,
+        "t_min {t_measured:e} vs closed form {t_min:e}"
+    );
+    // Settled: the final voltage is the exact DC value.
+    assert!((result.dc_shift().value() - r * delta).abs() < 1e-12);
 }

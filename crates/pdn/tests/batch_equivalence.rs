@@ -1,15 +1,14 @@
-//! Property-based equivalence between the batched SoA transient kernel and
-//! the scalar reference path.
+//! Property-based equivalence between batched and scalar transient runs.
 //!
-//! The batch kernel promises *bit-identical* results lane-for-lane: for any
-//! ladder, any mix of load steps, and any batch size, `run_batch` must
-//! produce exactly what per-lane `run` calls would — including lanes that
-//! settle early at different steps and lanes that never settle at all.
+//! A batch shares one unit response among lanes with the same step time
+//! and slew, and promises *bit-identical* results lane-for-lane: for any
+//! ladder, any mix of load steps, and any batch size, `run_batch`,
+//! `droops` and the droop sweep must produce exactly what per-lane `run`
+//! calls would.
 
 use dg_pdn::didt;
 use dg_pdn::elements::{CapBank, SeriesBranch};
 use dg_pdn::ladder::{Ladder, VrOutputModel};
-use dg_pdn::simd::KernelWidth;
 use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
 use dg_pdn::units::{Amps, Farads, Henries, Hertz, Ohms, Seconds, Volts};
 use proptest::prelude::*;
@@ -120,7 +119,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For random ladders, random step mixes, and random batch sizes, the
-    /// batched kernel reproduces the scalar path bit-for-bit on every lane.
+    /// batch reproduces the scalar path bit-for-bit on every lane.
     #[test]
     fn batch_is_bit_identical_to_scalar(
         r_board in 0.05..2.0f64,
@@ -156,10 +155,9 @@ proptest! {
         }
     }
 
-    /// Lanes with wildly different step magnitudes settle at different
-    /// times; mixing a null step (settles almost immediately) with large
-    /// steps exercises the early-exit compaction path, and the results
-    /// still have to be bit-identical and in input order.
+    /// Lanes with wildly different step magnitudes, including null steps,
+    /// share one unit response; each still has to come out bit-identical
+    /// to its scalar run and in input order.
     #[test]
     fn early_exit_lanes_stay_bit_identical(
         big in 40.0..150.0f64,
@@ -173,8 +171,7 @@ proptest! {
             Seconds::from_us(8.0),
         ).unwrap();
         let quiescent = Amps::new(5.0);
-        // Null step (exits first), small step, big step, and a second null
-        // so two lanes exit on the same sweep of the compaction loop.
+        // Null step, small step, big step, and a second null step.
         let deltas = [0.0, small, big, 0.0];
         let steps: Vec<LoadStep> = deltas
             .iter()
@@ -193,13 +190,10 @@ proptest! {
         }
     }
 
-    /// Remainder lanes: for batch sizes that are *not* multiples of either
-    /// SIMD width (1..=11 covers every residue mod 4 and several mod 8),
-    /// each forced kernel width must agree bit-for-bit with the forced
-    /// scalar kernel — the vector chunks and the per-row scalar remainder
-    /// have to be the same arithmetic in the same order.
+    /// For any lane count and mix of step times and slews, `droops` (no
+    /// waveforms) equals `run_batch` reduced to droops, bit for bit.
     #[test]
-    fn every_kernel_width_matches_scalar_for_remainder_counts(
+    fn droops_match_run_batch_for_any_lane_count(
         lanes in prop::collection::vec(lane_spec(), 1..12),
         dur_us in 1.5..4.0f64,
     ) {
@@ -218,22 +212,23 @@ proptest! {
                 slew: Seconds::from_ns(l.slew_ns),
             })
             .collect();
-        let scalar = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
-        prop_assert_eq!(scalar.len(), steps.len());
-        for width in [KernelWidth::X4, KernelWidth::X8] {
-            let wide = sim.run_batch_with_width(&ladder, &steps, width);
-            prop_assert_eq!(wide.len(), scalar.len());
-            for (lane, (w, s)) in wide.iter().zip(&scalar).enumerate() {
-                assert_lane_bit_identical(lane, w, s)?;
-            }
+        let batch = sim.run_batch(&ladder, &steps);
+        let droops = sim.droops(&ladder, &steps);
+        prop_assert_eq!(droops.len(), steps.len());
+        for (lane, (full, droop)) in batch.iter().zip(&droops).enumerate() {
+            prop_assert_eq!(
+                full.droop().value().to_bits(),
+                droop.value().to_bits(),
+                "lane {}",
+                lane
+            );
         }
     }
 
     /// `didt::droop_sweep` (the engine behind `/v1/droop_sweep`) is
     /// bit-identical to per-lane scalar `run` calls for population sizes
     /// around the sweep's group size — including counts that leave
-    /// remainder lanes in the last group and are not multiples of any
-    /// SIMD width.
+    /// remainder lanes in the last group.
     #[test]
     fn droop_sweep_matches_per_lane_scalar_runs(
         n_small in 1usize..12,

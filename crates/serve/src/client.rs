@@ -880,7 +880,7 @@ fn oversized_sweep_probe() -> MixItem {
 /// sweeps exercise the substrate caches, the response cache, and the
 /// coalescer; the malformed and oversized entries exercise the parser's
 /// rejection paths; the batch probes (valid, empty, oversized) exercise
-/// the lockstep transient kernel and its admission limits.
+/// the batched transient solver and its admission limits.
 fn mix_item_of(rng: &mut Lcg, kind: MixKind) -> MixItem {
     match kind {
         MixKind::Full => match rng.below(24) {

@@ -6,7 +6,7 @@
 //! | endpoint | what it computes |
 //! |---|---|
 //! | `POST /v1/droop` | one transient droop capture ([`darkgates::pdn::transient`]) |
-//! | `POST /v1/droop_batch` | up to 256 load-step lanes through the lockstep explicit-SIMD kernel |
+//! | `POST /v1/droop_batch` | up to 256 load-step lanes through the exact transient solver, one unit response per distinct slew |
 //! | `POST /v1/sweep` | an impedance sweep via the content-keyed substrate cache |
 //! | `POST /v1/product` | a SPEC / graphics / energy cell on a catalog product |
 //! | `POST /v1/explore` | a design-space sweep ([`dg_explore`]) streamed as chunked NDJSON: progress lines per batch, then the result document |

@@ -39,10 +39,13 @@ const MAX_SWEEP_POINTS: u64 = 20_000;
 pub const MAX_EXPLORE_POINTS: u64 = 20_000;
 
 /// Largest accepted `/v1/droop_batch` lane count (compute admission: one
-/// batch integrates every lane in lockstep on one worker). The explicit-SIMD
-/// kernel amortises per-step bookkeeping across lanes, so wide batches are
-/// the cheap shape — the cap bounds memory, not compute.
+/// batch runs on one worker). Lanes with the same slew share one exact
+/// unit response, so wide batches are the cheap shape — the cap bounds
+/// memory, not compute.
 const MAX_BATCH_LANES: usize = 256;
+
+/// Lanes of a `/v1/droop_batch` request run per `run_batch` call.
+const BATCH_GROUP_LANES: usize = 32;
 
 /// Largest accepted `/v1/droop_sweep` lane count after server-side grid
 /// expansion (population-scale admission: the sweep is chunked across the
@@ -405,9 +408,9 @@ impl Router {
 
     /// Plans a `POST /v1/droop_sweep` population droop sweep: the request
     /// carries a delta *grid*, not an array of lanes; the server expands
-    /// it and integrates [`didt::SWEEP_LANES`]-wide batches through the
-    /// explicit-SIMD kernel, emitting one progress line per finished wave
-    /// with the fresh droops in lane order.
+    /// it and runs [`didt::SWEEP_LANES`]-wide lane groups through the
+    /// exact transient solver, emitting one progress line per finished
+    /// wave with the fresh droops in lane order.
     ///
     /// Waves ride `dg_engine`'s barrier-free streaming scheduler: an
     /// NDJSON line flushes as soon as its prefix of lane groups seals,
@@ -807,9 +810,12 @@ fn droop_batch_route(params: &Json) -> HandlerResult {
             slew: Seconds::from_ns(slew_ns),
         })
         .collect();
-    let results = sim.run_batch(&pdn.ladder, &steps);
-    let lanes: Vec<Json> = results
-        .iter()
+    // Lanes run in groups so only one group's waveforms (~200 KB per lane
+    // at the droop-capture grid) are alive at once; each group shares one
+    // unit response per slew.
+    let lanes: Vec<Json> = steps
+        .chunks(BATCH_GROUP_LANES)
+        .flat_map(|group| sim.run_batch(&pdn.ladder, group))
         .map(|r| {
             obj(vec![
                 ("droop_mv", Json::Num(r.droop().as_mv())),

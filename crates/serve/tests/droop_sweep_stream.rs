@@ -29,9 +29,8 @@ fn start() -> ServerHandle {
     .expect("bind on 127.0.0.1:0")
 }
 
-/// An 11-point grid: not a multiple of either SIMD width (11 = 2x4+3 =
-/// 8+3), so the batched kernel runs a full vector plus remainder lanes —
-/// exactly the shape where a sloppy remainder path would diverge.
+/// An 11-point grid with a ramped step: every lane is its own exact run,
+/// and each must match the library bit for bit.
 const SMALL_GRID: &str = r#"{"variant":"gated","source_v":1.0,"quiescent_a":6,
     "slew_ns":3,"delta":{"start_a":4,"stop_a":44,"points":11}}"#;
 

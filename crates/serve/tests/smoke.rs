@@ -19,7 +19,7 @@ fn start(config: ServerConfig) -> dg_serve::ServerHandle {
 fn small() -> ServerConfig {
     // Deliberately starved (8 burst clients against capacity 8 = 2 in
     // service + 6 queued) so overload stays reachable, but not so tight
-    // that admission races dominate now that the explicit-SIMD kernel
+    // that admission races dominate now that the exact transient solver
     // answers transient routes in milliseconds even without optimization.
     ServerConfig {
         workers: 2,

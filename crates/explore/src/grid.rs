@@ -8,7 +8,7 @@
 //! are comparable across runs, seeds, and thread counts.
 //!
 //! The seed only chooses the *evaluation order* (a Fisher–Yates shuffle
-//! of the ids under an LCG): progress traces and running-frontier sizes
+//! of the points under an LCG): progress traces and running-frontier sizes
 //! depend on it, the final frontier — a set — does not.
 
 use crate::scaling::NodeScaling;
@@ -89,20 +89,19 @@ impl Lcg {
     }
 }
 
-/// The seeded evaluation order: a Fisher–Yates shuffle of `0..n` under
-/// the spec seed. Seed 0 is the identity (evaluate in id order), which
-/// keeps small smoke specs trivially readable.
-pub fn evaluation_order(seed: u64, n: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
+/// Puts `items` into the seeded evaluation order, in place: a
+/// Fisher–Yates shuffle under the spec seed. Seed 0 is the identity
+/// (evaluate in id order), which keeps small smoke specs trivially
+/// readable.
+pub fn shuffle<T>(seed: u64, items: &mut [T]) {
     if seed == 0 {
-        return order;
+        return;
     }
     let mut rng = Lcg(seed);
-    for i in (1..order.len()).rev() {
+    for i in (1..items.len()).rev() {
         let j = rng.below(i as u64 + 1) as usize;
-        order.swap(i, j);
+        items.swap(i, j);
     }
-    order
 }
 
 #[cfg(test)]
@@ -132,17 +131,36 @@ mod tests {
         assert_eq!(grid.last().map(|p| p.node.node_nm), Some(22));
     }
 
+    fn order(seed: u64, n: usize) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..n).collect();
+        shuffle(seed, &mut ids);
+        ids
+    }
+
     #[test]
     fn evaluation_order_is_a_seeded_permutation() {
-        let base = evaluation_order(0, 100);
+        let base = order(0, 100);
         assert_eq!(base, (0..100).collect::<Vec<_>>(), "seed 0 is identity");
-        let a = evaluation_order(7, 100);
-        let b = evaluation_order(7, 100);
+        let a = order(7, 100);
+        let b = order(7, 100);
         assert_eq!(a, b, "same seed, same order");
-        let c = evaluation_order(8, 100);
+        let c = order(8, 100);
         assert_ne!(a, c, "different seed, different order");
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, base, "shuffle is a permutation");
+    }
+
+    #[test]
+    fn shuffling_the_grid_permutes_it_like_its_ids() {
+        let s = spec(
+            r#"{"tech_nodes":[45,22,8],"tdp_w":[35,91],"small_perf":[2,4],"guardband":["none","full"]}"#,
+        );
+        let mut grid = expand(&s);
+        shuffle(11, &mut grid);
+        let ids: Vec<u64> = grid.iter().map(|p| p.id).collect();
+        let want: Vec<u64> = order(11, grid.len()).iter().map(|&i| i as u64).collect();
+        assert_eq!(ids, want);
+        assert_ne!(ids, (0..grid.len() as u64).collect::<Vec<_>>());
     }
 }

@@ -38,7 +38,6 @@ pub use spec::{ExploreSpec, GuardbandPolicy};
 
 use darkgates::json::{obj, Json};
 use dg_engine::sync::TrackedMutex;
-use grid::ConfigPoint;
 use spec::fuse_label;
 
 /// Hard cap on grid points a single run will expand (memory bound; the
@@ -229,10 +228,11 @@ pub fn run_with_progress(
             max: MAX_POINTS,
         });
     }
-    let grid = grid::expand(spec);
+    // The grid is shuffled into evaluation order in place: no second
+    // copy of the points.
+    let mut grid = grid::expand(spec);
+    grid::shuffle(spec.seed, &mut grid);
     let total = grid.len();
-    let order = grid::evaluation_order(spec.seed, total);
-    let ordered: Vec<ConfigPoint> = order.iter().filter_map(|&i| grid.get(i).copied()).collect();
 
     let ctx = EvalContext::new(spec);
     let state = TrackedMutex::new(
@@ -244,7 +244,7 @@ pub fn run_with_progress(
     );
 
     dg_engine::par_map_progress(
-        &ordered,
+        &grid,
         spec.batch,
         |_, p| ctx.evaluate(*p),
         |done, chunk| {
@@ -294,107 +294,82 @@ fn assemble(spec: &ExploreSpec, mut evals: Vec<PointEval>, frontier_ids: &[u64])
     }
 }
 
-/// One marginal axis: name, row labels in spec order, and the label
-/// extractor applied to each evaluated point.
-type MarginalAxis = (
-    &'static str,
-    Vec<String>,
-    Box<dyn Fn(&ConfigPoint) -> String>,
-);
+/// One axis's rows in spec order, labelled with its rendered values and
+/// zeroed. `min_power_w` starts at +∞ until the pass ends.
+fn empty_axis(axis: &'static str, labels: impl Iterator<Item = String>) -> AxisMarginal {
+    let rows = labels
+        .map(|value| MarginalRow {
+            value,
+            points: 0,
+            feasible: 0,
+            frontier_points: 0,
+            best_speedup: 0.0,
+            min_power_w: f64::INFINITY,
+            min_dark_ratio: 1.0,
+        })
+        .collect();
+    AxisMarginal { axis, rows }
+}
 
 /// Computes per-axis marginals: one row per axis value, in spec order.
+///
+/// Point ids are mixed-radix over the axes in grid nesting order (see
+/// [`grid`]), so a point's row on each axis is a digit of its id and one
+/// pass over `evals` fills every row. Axis values are distinct (the spec
+/// drops bit-identical duplicates) and render injectively, so the digit
+/// picks exactly the points whose value renders as that row's label.
 fn marginals_of(
     spec: &ExploreSpec,
     evals: &[PointEval],
     frontier_ids: &[u64],
 ) -> Vec<AxisMarginal> {
-    let axes: Vec<MarginalAxis> = vec![
-        (
+    let mut axes = [
+        empty_axis(
             "tech_nodes",
-            spec.tech_nodes
-                .iter()
-                .map(|n| n.node_nm.to_string())
-                .collect(),
-            Box::new(|p| p.node.node_nm.to_string()),
+            spec.tech_nodes.iter().map(|n| n.node_nm.to_string()),
         ),
-        (
-            "tdp_w",
-            spec.tdp_w.iter().map(|v| format!("{v}")).collect(),
-            Box::new(|p| format!("{}", p.tdp_w)),
-        ),
-        (
-            "big_perf",
-            spec.big_perf.iter().map(|v| format!("{v}")).collect(),
-            Box::new(|p| format!("{}", p.big_perf)),
-        ),
-        (
-            "small_perf",
-            spec.small_perf.iter().map(|v| format!("{v}")).collect(),
-            Box::new(|p| format!("{}", p.small_perf)),
-        ),
-        (
+        empty_axis("tdp_w", spec.tdp_w.iter().map(f64::to_string)),
+        empty_axis("big_perf", spec.big_perf.iter().map(f64::to_string)),
+        empty_axis("small_perf", spec.small_perf.iter().map(f64::to_string)),
+        empty_axis(
             "fraction_parallelism",
-            spec.fraction_parallelism
-                .iter()
-                .map(|v| format!("{v}"))
-                .collect(),
-            Box::new(|p| format!("{}", p.fraction_parallelism)),
+            spec.fraction_parallelism.iter().map(f64::to_string),
         ),
-        (
-            "fuse",
-            spec.fuse
-                .iter()
-                .map(|v| fuse_label(*v).to_owned())
-                .collect(),
-            Box::new(|p| fuse_label(p.fuse).to_owned()),
-        ),
-        (
+        empty_axis("fuse", spec.fuse.iter().map(|v| fuse_label(*v).to_owned())),
+        empty_axis(
             "guardband",
-            spec.guardband
-                .iter()
-                .map(|g| g.label().to_owned())
-                .collect(),
-            Box::new(|p| p.guardband.label().to_owned()),
+            spec.guardband.iter().map(|g| g.label().to_owned()),
         ),
     ];
-
-    axes.into_iter()
-        .map(|(axis, values, label_of)| {
-            let rows = values
-                .iter()
-                .map(|value| {
-                    let mut row = MarginalRow {
-                        value: value.clone(),
-                        points: 0,
-                        feasible: 0,
-                        frontier_points: 0,
-                        best_speedup: 0.0,
-                        min_power_w: 0.0,
-                        min_dark_ratio: 1.0,
-                    };
-                    let mut min_power = f64::INFINITY;
-                    for e in evals.iter().filter(|e| label_of(&e.point) == *value) {
-                        row.points += 1;
-                        if !e.feasible {
-                            continue;
-                        }
-                        row.feasible += 1;
-                        row.best_speedup = row.best_speedup.max(e.speedup);
-                        min_power = min_power.min(e.power_w);
-                        row.min_dark_ratio = row.min_dark_ratio.min(e.dark_ratio);
-                        if frontier_ids.binary_search(&e.point.id).is_ok() {
-                            row.frontier_points += 1;
-                        }
-                    }
-                    if min_power.is_finite() {
-                        row.min_power_w = min_power;
-                    }
-                    row
-                })
-                .collect();
-            AxisMarginal { axis, rows }
-        })
-        .collect()
+    for e in evals {
+        let on_frontier = e.feasible && frontier_ids.binary_search(&e.point.id).is_ok();
+        // The fastest-varying axis is the lowest digit.
+        let mut rest = e.point.id;
+        for axis in axes.iter_mut().rev() {
+            let radix = (axis.rows.len() as u64).max(1);
+            let digit = usize::try_from(rest % radix).ok();
+            rest /= radix;
+            let Some(row) = digit.and_then(|d| axis.rows.get_mut(d)) else {
+                continue;
+            };
+            row.points += 1;
+            if !e.feasible {
+                continue;
+            }
+            row.feasible += 1;
+            row.best_speedup = row.best_speedup.max(e.speedup);
+            row.min_power_w = row.min_power_w.min(e.power_w);
+            row.min_dark_ratio = row.min_dark_ratio.min(e.dark_ratio);
+            row.frontier_points += u64::from(on_frontier);
+        }
+    }
+    // A row with no feasible point reports 0 W.
+    for row in axes.iter_mut().flat_map(|a| a.rows.iter_mut()) {
+        if !row.min_power_w.is_finite() {
+            row.min_power_w = 0.0;
+        }
+    }
+    axes.into()
 }
 
 #[cfg(test)]

@@ -79,6 +79,51 @@ fn fig3_sweep_gain_grows_with_frequency() {
     }
 }
 
+/// Sharing one baseline per TDP changes no bit: every point equals the
+/// per-point formula with its own fresh baseline, in (TDP, reduction) order.
+#[test]
+fn fig3_sweep_matches_a_fresh_baseline_per_point() {
+    use darkgates::soc::products::Product;
+    use darkgates::soc::run::run_spec;
+    use darkgates::units::Volts;
+    use darkgates::workloads::spec::suite;
+    let points = fig3_sweep();
+    let mut expected = Vec::new();
+    for tdp in Product::broadwell_tdp_levels() {
+        for reduction_mv in [25.0, 50.0, 75.0, 100.0] {
+            let baseline = Product::broadwell(tdp, Volts::ZERO);
+            let reduced = Product::broadwell(tdp, Volts::from_mv(-reduction_mv));
+            let all = suite();
+            let gain: f64 = all
+                .iter()
+                .map(|b| {
+                    run_spec(&reduced, b, SpecMode::Base).perf
+                        / run_spec(&baseline, b, SpecMode::Base).perf
+                        - 1.0
+                })
+                .sum::<f64>()
+                / all.len() as f64;
+            let uplift_mhz = reduced.fmax_1c().as_mhz() - baseline.fmax_1c().as_mhz();
+            expected.push((tdp, reduction_mv, gain, uplift_mhz));
+        }
+    }
+    assert_eq!(points.len(), expected.len());
+    for (p, &(tdp, reduction_mv, gain, uplift_mhz)) in points.iter().zip(&expected) {
+        assert_eq!(p.tdp, tdp);
+        assert_eq!(p.reduction_mv.to_bits(), reduction_mv.to_bits());
+        assert_eq!(
+            p.gain.to_bits(),
+            gain.to_bits(),
+            "{tdp} -{reduction_mv} mV gain"
+        );
+        assert_eq!(
+            p.uplift_mhz.to_bits(),
+            uplift_mhz.to_bits(),
+            "{tdp} -{reduction_mv} mV uplift"
+        );
+    }
+}
+
 #[test]
 fn fig4_impedance_profile() {
     let r = fig4();
